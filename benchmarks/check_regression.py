@@ -49,7 +49,11 @@ Usage::
 ``--tolerance`` overrides the *default* tolerance; rows that declare
 their own keep it. Exits 0 when all guarded rows hold (or no committed
 baseline exists yet, e.g. on the first run of a new bench), 1 on
-regression, 2 when a fresh file is missing (the bench did not run).
+regression, 2 when a guarded file is missing or stale. A file is stale
+when its ``run_nonce`` (stamped by ``emit_bench_json``, fresh every
+bench session) is absent or equal to the committed file's: the bench
+did not rewrite it, and comparing it with HEAD would compare the
+committed numbers with themselves.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from typing import Optional
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
+RUN_NONCE_KEY = "run_nonce"  # stamped by conftest.emit_bench_json
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,26 @@ def committed_json(name: str) -> dict | None:
     return json.loads(result.stdout)
 
 
+def unrewritten_files() -> list[str] | None:
+    """Guarded files this bench run did not write: missing ones make the
+    result ``None``; otherwise the names of the stale ones (no run nonce,
+    or the committed file's nonce)."""
+    stale = []
+    for name in sorted({row.file for row in GUARDED_ROWS}):
+        path = BENCH_DIR / name
+        if not path.exists():
+            print(f"regression guard: {name} missing -- did the bench run?")
+            return None
+        nonce = json.loads(path.read_text()).get(RUN_NONCE_KEY)
+        committed = committed_json(name)
+        if nonce is None or (
+            committed is not None and committed.get(RUN_NONCE_KEY) == nonce
+        ):
+            print(f"regression guard: {name} stale: bench did not rewrite this file")
+            stale.append(name)
+    return stale
+
+
 def dig(payload: dict, dotted: str):
     value = payload
     for key in dotted.split("."):
@@ -171,14 +196,13 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    stale = unrewritten_files()
+    if stale is None or stale:
+        return 2
     failures = []
     checked = 0
     for row in GUARDED_ROWS:
-        fresh_path = BENCH_DIR / row.file
-        if not fresh_path.exists():
-            print(f"regression guard: {row.file} missing -- did the bench run?")
-            return 2
-        fresh = dig(json.loads(fresh_path.read_text()), row.path)
+        fresh = dig(json.loads((BENCH_DIR / row.file).read_text()), row.path)
         baseline_payload = committed_json(row.file)
         if baseline_payload is None:
             print(f"{row.file}: no committed baseline yet, skipping")

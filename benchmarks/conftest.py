@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import json
 import pathlib
+import secrets
 from typing import Any, Dict
 
 import pytest
 
 _BENCH_DIR = pathlib.Path(__file__).resolve().parent
+
+# Fresh for every bench session. ``check_regression.py`` refuses a file
+# whose nonce is missing or equal to the committed one: such a file was
+# not rewritten by this run (its bench failed or did not run).
+RUN_NONCE_KEY = "run_nonce"
+_RUN_NONCE = secrets.token_hex(8)
 
 
 def emit_bench_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:
@@ -26,9 +33,11 @@ def emit_bench_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:
 
     The JSON is stable (sorted keys, trailing newline) so CI can diff
     successive runs; payloads should stick to plain numbers/strings.
+    Every file is stamped with this session's run nonce.
     """
     path = _BENCH_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    stamped = dict(payload, **{RUN_NONCE_KEY: _RUN_NONCE})
+    path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -15,9 +15,9 @@ Three measurements:
 * idle CPU, reactor -- 1,000 references each parked on an absent tag
   with a pending write: every logical loop sits on the deadline heap,
   so a half-second window should cost almost no process CPU;
-* idle CPU, threaded -- the legacy mode with only a tenth of the
-  population, which still out-burns the reactor because each thread
-  polls its wait slice.
+* idle CPU, dedicated -- the thread-per-reference backend
+  (``reactor_mode="dedicated"``) with a tenth of the population: each
+  thread waits for its own deadline, so it must be just as quiet.
 
 **Crowd churn** (the fair-scheduling substrate at scale): 100 devices x
 1,000 tags sweeping through fields under the two churn generators
@@ -46,7 +46,8 @@ from tests.conftest import PlainNfcActivity, make_reference
 REFERENCES = 1000
 MAX_RUNTIME_THREADS = 64
 IDLE_WINDOW_SECONDS = 0.5
-THREADED_POPULATION = 100  # a tenth of the reactor population
+IDLE_CPU_CEILING_SECONDS = 0.05  # "near zero" over the idle window
+DEDICATED_POPULATION = 100  # a tenth of the reactor population
 PARK_TIMEOUT = 120.0  # pending-write timeout while tags are absent
 
 # Crowd-churn population: the acceptance floor is 100 devices x 1,000
@@ -110,43 +111,41 @@ def _run_reactor_population() -> dict:
         }
 
 
-def _run_threaded_population() -> dict:
+def _run_dedicated_population() -> dict:
     with Scenario() as scenario:
-        phone = scenario.add_phone("threaded-scale")
+        phone = scenario.add_phone("dedicated-scale", reactor_mode="dedicated")
         activity = scenario.start(phone, PlainNfcActivity)
-        tags = make_tags(THREADED_POPULATION)  # never enter the field
-        references = [
-            make_reference(activity, tag, phone, threaded=True) for tag in tags
-        ]
+        tags = make_tags(DEDICATED_POPULATION)  # never enter the field
+        references = [make_reference(activity, tag, phone) for tag in tags]
         for reference in references:
             reference.write("parked", timeout=PARK_TIMEOUT)
         time.sleep(0.2)
         idle_cpu = _idle_cpu(IDLE_WINDOW_SECONDS)
         return {
-            "references": THREADED_POPULATION,
+            "references": DEDICATED_POPULATION,
             "threads": threading.active_count(),
             "idle_cpu_seconds": idle_cpu,
         }
 
 
 def test_thousand_references_bounded_threads(benchmark):
-    reactor, threaded = benchmark.pedantic(
-        lambda: (_run_reactor_population(), _run_threaded_population()),
+    reactor, dedicated = benchmark.pedantic(
+        lambda: (_run_reactor_population(), _run_dedicated_population()),
         rounds=1,
         iterations=1,
     )
 
     table = Table(
         f"Reference scaling -- {REFERENCES} concurrent references on the "
-        "reactor pool vs the legacy thread-per-reference mode",
-        ["measure", "reactor", f"threaded (x{THREADED_POPULATION} refs)"],
+        "reactor pool vs the thread-per-reference backend",
+        ["measure", "reactor", f"dedicated (x{DEDICATED_POPULATION} refs)"],
     )
-    table.add_row("peak runtime threads", reactor["threads_peak"], threaded["threads"])
+    table.add_row("peak runtime threads", reactor["threads_peak"], dedicated["threads"])
     table.add_row("ops/second", round(reactor["ops_per_second"]), "-")
     table.add_row(
         f"idle CPU over {IDLE_WINDOW_SECONDS}s (s)",
         round(reactor["idle_cpu_seconds"], 4),
-        round(threaded["idle_cpu_seconds"], 4),
+        round(dedicated["idle_cpu_seconds"], 4),
     )
     table.print()
 
@@ -159,9 +158,9 @@ def test_thousand_references_bounded_threads(benchmark):
         "reactor_workers": reactor["reactor_workers"],
         "reactor_max_workers": reactor["reactor_max_workers"],
         "idle_cpu_seconds_reactor": reactor["idle_cpu_seconds"],
-        "idle_cpu_seconds_threaded": threaded["idle_cpu_seconds"],
-        "threaded_population": threaded["references"],
-        "threaded_threads": threaded["threads"],
+        "idle_cpu_seconds_dedicated": dedicated["idle_cpu_seconds"],
+        "dedicated_population": dedicated["references"],
+        "dedicated_threads": dedicated["threads"],
         "idle_window_seconds": IDLE_WINDOW_SECONDS,
     }
     emit_bench_json("scaling", _PAYLOAD)
@@ -170,9 +169,10 @@ def test_thousand_references_bounded_threads(benchmark):
     # seed's thread-per-reference design needed >= 1,000 threads here.
     assert reactor["threads_peak"] <= MAX_RUNTIME_THREADS
     assert reactor["ops_completed"] == 2 * REFERENCES
-    # Parked references cost (nearly) nothing: even with 10x the
-    # population, the reactor's idle CPU stays under the threaded mode's.
-    assert reactor["idle_cpu_seconds"] < threaded["idle_cpu_seconds"]
+    # Parked references cost (nearly) nothing on either backend: the
+    # pool's timer and each dedicated thread wait for an exact deadline.
+    assert reactor["idle_cpu_seconds"] < IDLE_CPU_CEILING_SECONDS
+    assert dedicated["idle_cpu_seconds"] < IDLE_CPU_CEILING_SECONDS
 
 
 # -- crowd churn -------------------------------------------------------------------

@@ -11,9 +11,10 @@ dynamically, third-party helpers, the middleware itself regressing).
 
 When installed, the sanitizer patches:
 
-* ``Looper._loop``, ``Reactor._worker_loop`` / ``_timer_loop``,
-  ``TagReference._event_loop`` and ``Beamer._event_loop`` so every
-  middleware thread registers itself on entry (threads started *before*
+* ``Reactor._worker_loop`` / ``_timer_loop`` and
+  ``DedicatedReactor._task_loop`` (the thread of every dedicated-mode
+  task, each device's main looper pump included) so every middleware
+  thread registers itself on entry (threads started *before*
   installation are recognized by their names as a fallback);
 * ``Thing.__setattr__`` so public-field writes to a *bound* Thing from
   a middleware thread that is not the owning looper's pump thread are
@@ -78,10 +79,10 @@ __all__ = [
 _WRAPPER_MARK = "__morena_sanitizer_wrapper__"
 
 # Thread-name fallbacks for middleware threads started before install().
-_MIDDLEWARE_NAME_MARKS: Tuple[str, ...] = ("looper-", "tagref-", "beamer-")
+_MIDDLEWARE_NAME_MARKS: Tuple[str, ...] = ("looper-", "tagref-")
 
 
-def _in_running_event_loop() -> bool:
+def _in_running_loop() -> bool:
     """Whether the calling thread is currently inside a running asyncio loop."""
     try:
         asyncio.get_running_loop()
@@ -393,18 +394,15 @@ class ThreadAffinitySanitizer:
         if self._installed:
             return
         from repro.android.looper import Looper
-        from repro.core.beam import Beamer
         from repro.core.futures import OperationFuture
         from repro.core.reference import TagReference
-        from repro.core.scheduler import AsyncioReactor, Reactor
+        from repro.core.scheduler import AsyncioReactor, DedicatedReactor, Reactor
         from repro.things.thing import Thing
 
-        self._patch_registering(Looper, "_loop", "looper")
         self._patch_registering(Reactor, "_worker_loop", "reactor-worker")
         self._patch_registering(Reactor, "_timer_loop", "reactor-timer")
         self._patch_registering(AsyncioReactor, "_loop_runner", "asyncio-loop")
-        self._patch_registering(TagReference, "_event_loop", "reference")
-        self._patch_registering(Beamer, "_event_loop", "beamer")
+        self._patch_registering(DedicatedReactor, "_task_loop", "reactor-task")
         self._patch_thing_setattr(Thing)
         self._patch_post_listener(TagReference)
         self._patch_blocking(OperationFuture, "result", "OperationFuture.result")
@@ -513,7 +511,7 @@ class ThreadAffinitySanitizer:
         sanitizer = self
 
         def checked_wait(obj: Any, *args: Any, **kwargs: Any) -> Any:
-            if _in_running_event_loop():
+            if _in_running_loop():
                 loop_name = repr(asyncio.get_running_loop())
                 sanitizer._record(
                     AffinityViolation(

@@ -47,7 +47,7 @@ class AndroidDevice:
         self.name = name
         self._env = environment
         self._tx_policy = tx_policy  # cross-tag service policy spec
-        self._reactor_mode = reactor_mode  # "threaded" | "asyncio"
+        self._reactor_mode = reactor_mode  # "threaded" | "asyncio" | "dedicated"
         self._port: NfcAdapterPort = environment.create_port(name, link=link)
         self._looper = Looper(name=f"{name}-main", clock=environment.clock)
         self._adapter = NfcAdapter(self, self._port)
@@ -82,9 +82,11 @@ class AndroidDevice:
     def reactor(self) -> Reactor:
         """The device's shared reference scheduler (created lazily).
 
-        All tag references of all activities on this device multiplex
-        their event loops onto this one bounded pool — or, with
-        ``reactor_mode="asyncio"``, onto one coroutine event loop; see
+        All tag references of all activities on this device run their
+        event loops as tasks on it: multiplexed onto one bounded pool,
+        onto one coroutine event loop (``reactor_mode="asyncio"``), or
+        one OS thread each (``reactor_mode="dedicated"``, the
+        paper-literal thread per reference); see
         :mod:`repro.core.scheduler`.
         """
         with self._reactor_lock:

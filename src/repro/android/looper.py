@@ -2,20 +2,22 @@
 
 Each simulated device runs one main looper on its own daemon thread; every
 UI callback and every MORENA listener is posted here, which is what keeps
-listener execution off the tag references' private threads (paper section
-3.2: "listeners ... are always asynchronously scheduled for execution in
-the activity's main thread").
+listener execution off the middleware's threads (paper section 3.2:
+"listeners ... are always asynchronously scheduled for execution in the
+activity's main thread").
 
 The looper supports immediate and delayed posts, a ``sync`` barrier for
 tests (post a no-op and wait until it drains), and clean shutdown. Time
 for delayed posts flows through the injectable clock so manual-clock
 simulations stay deterministic.
 
-Delayed posts are event-driven, never polled: with a real clock the pump
-waits exactly until the earliest due time; with a
-:class:`~repro.clock.ManualClock` the looper subscribes to advance
-notifications and sleeps until simulated time actually moves. Exotic
-clocks that support neither fall back to a coarse real-time poll.
+The pump is one :class:`~repro.core.scheduler.ReactorTask` on a private
+``Reactor(mode="dedicated")``: the task's thread (``looper-<name>``) is
+the looper thread, and the reactor does the waiting -- an exact timed
+wait for the next delayed post on a real clock, an advance notification
+on a :class:`~repro.clock.ManualClock`. A post that becomes the head of
+the queue wakes the task (or moves its deadline); every other post is
+picked up by the step already due before it.
 """
 
 from __future__ import annotations
@@ -27,13 +29,10 @@ import traceback
 from typing import Callable, List, Optional, Tuple
 
 from repro.clock import Clock, SystemClock
+from repro.core.scheduler import Reactor
 from repro.errors import LooperError
 
 Runnable = Callable[[], None]
-
-# Fallback slice for clocks that neither notify on advance nor run in
-# real time; unused with the shipped SystemClock/ManualClock.
-_DELAY_POLL_SECONDS = 0.01
 
 
 class Looper:
@@ -49,18 +48,11 @@ class Looper:
         self._idle = True
         self._processed = 0
         self._errors: List[BaseException] = []
-        self._clock_notifies = hasattr(self._clock, "add_listener")
-        self._clock_is_realtime = isinstance(self._clock, SystemClock)
-        if self._clock_notifies:
-            self._clock.add_listener(self._on_clock_advance)
-        self._thread = threading.Thread(
-            target=self._loop, name=f"looper-{name}", daemon=True
+        self._reactor = Reactor(
+            clock=self._clock, name=f"looper-{name}", mode="dedicated"
         )
-        self._thread.start()
-
-    def _on_clock_advance(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        self._task = self._reactor.register(self._pump, name=f"looper-{name}")
+        self._thread: threading.Thread = self._task.thread
 
     # -- posting -------------------------------------------------------------
 
@@ -76,19 +68,21 @@ class Looper:
             if self._quit:
                 raise LooperError(f"looper {self.name!r} has quit")
             due = self._clock.now() + delay_seconds
-            heapq.heappush(self._queue, (due, next(self._seq), runnable))
-            self._cond.notify_all()
+            entry = (due, next(self._seq), runnable)
+            heapq.heappush(self._queue, entry)
+            is_head = self._queue[0] is entry
+        if not is_head:
+            return  # the pump reaches it after the earlier head
+        if delay_seconds > 0:
+            self._task.schedule_at(due)
+        else:
+            self._task.wake()
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def is_current_thread(self) -> bool:
         return threading.current_thread() is self._thread
-
-    @property
-    def thread(self) -> threading.Thread:
-        """The pump thread -- the owner identity tools key affinity on."""
-        return self._thread
 
     @property
     def processed_count(self) -> int:
@@ -143,10 +137,7 @@ class Looper:
             self._quit = True
             self._queue.clear()
             self._cond.notify_all()
-        if self._clock_notifies:
-            self._clock.remove_listener(self._on_clock_advance)
-        if not self.is_current_thread:
-            self._thread.join(timeout)
+        self._reactor.stop(join_timeout=timeout)
 
     @property
     def alive(self) -> bool:
@@ -154,45 +145,30 @@ class Looper:
 
     # -- the pump ----------------------------------------------------------------------
 
-    def _loop(self) -> None:
+    def _pump(self) -> Optional[float]:
+        """The looper task's step: run every due message in order, then
+        report when the next delayed one falls due (``None``: empty)."""
+        ran = False
         while True:
-            runnable = self._next_message()
-            if runnable is None:
-                return
+            with self._cond:
+                if ran:
+                    self._processed += 1
+                if self._quit:
+                    return None
+                queue = self._queue
+                if not queue or queue[0][0] > self._clock.now():
+                    self._idle = True
+                    self._cond.notify_all()
+                    return queue[0][0] if queue else None
+                runnable = heapq.heappop(queue)[2]
+                self._idle = False
             try:
                 runnable()
             except BaseException as exc:  # noqa: BLE001 - recorded, not fatal
                 with self._cond:
                     self._errors.append(exc)
                 traceback.print_exc()
-            finally:
-                with self._cond:
-                    self._processed += 1
-                    self._idle = True
-                    self._cond.notify_all()
-
-    def _next_message(self) -> Optional[Runnable]:
-        with self._cond:
-            while True:
-                if self._quit:
-                    return None
-                if self._queue:
-                    due, _seq, runnable = self._queue[0]
-                    now = self._clock.now()
-                    if due <= now:
-                        heapq.heappop(self._queue)
-                        self._idle = False
-                        return runnable
-                    # Delayed message pending: wait until it can be due.
-                    # A new post or a clock advance notifies the cond.
-                    if self._clock_notifies:
-                        self._cond.wait()
-                    elif self._clock_is_realtime:
-                        self._cond.wait(due - now)
-                    else:
-                        self._cond.wait(_DELAY_POLL_SECONDS)
-                else:
-                    self._cond.wait()
+            ran = True
 
 
 class Handler:

@@ -8,6 +8,9 @@ silently retried until a peer appears or the timeout passes. Reception is
 handled by :class:`BeamReceivedListener`, which converts the received
 NDEF message with its read converter and applies an optional
 ``check_condition`` predicate before invoking ``on_beam_received``.
+
+The retry loop is a task on the device's reactor, woken by ``beam()``
+and by a peer entering Beam range.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core.converters import (
 from repro.errors import (
     BeamError,
     ConverterError,
+    LooperError,
     MorenaError,
     RadioError,
     ReferenceStoppedError,
@@ -35,7 +39,6 @@ from repro.ndef.mime import normalize_mime_type
 from repro.radio.events import FieldEvent, PeerEntered
 
 DEFAULT_BEAM_TIMEOUT_SECONDS = 5.0
-_WAIT_SLICE_SECONDS = 0.01
 _RETRY_INTERVAL_SECONDS = 0.02
 
 
@@ -58,7 +61,7 @@ class Beamer:
         self._write_converter = write_converter
         self._default_timeout = default_timeout
 
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._queue: Deque[Operation] = deque()
         self._stopped = False
 
@@ -66,14 +69,11 @@ class Beamer:
         self.successes = 0
         self.timeouts = 0
 
+        self._task = activity.device.reactor.register(
+            self._step, name=f"beamer-{activity.device.name}"
+        )
         self._port.add_field_listener(self._on_field_event)
         activity._register_beamer(self)  # noqa: SLF001 - by-design handshake
-        self._thread = threading.Thread(
-            target=self._event_loop,
-            name=f"beamer-{activity.device.name}",
-            daemon=True,
-        )
-        self._thread.start()
 
     # -- the asynchronous interface -------------------------------------------------
 
@@ -110,11 +110,11 @@ class Beamer:
             operation.error = exc
             self._post(operation.on_failure)
             return operation
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 raise ReferenceStoppedError("this Beamer has been stopped")
             self._queue.append(operation)
-            self._cond.notify_all()
+        self._task.wake()
         return operation
 
     def _convert_payload(self, obj: Any) -> NdefMessage:
@@ -128,59 +128,53 @@ class Beamer:
 
     @property
     def pending_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._queue)
 
     # -- lifecycle --------------------------------------------------------------------
 
     def stop(self, join_timeout: float = 5.0) -> None:
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
             cancelled = list(self._queue)
             self._queue.clear()
-            self._cond.notify_all()
         for operation in cancelled:
             operation.outcome = OperationOutcome.CANCELLED
         self._port.remove_field_listener(self._on_field_event)
-        if threading.current_thread() is not self._thread:
-            self._thread.join(join_timeout)
+        self._task.cancel(join_timeout)
 
     # -- internals ----------------------------------------------------------------------
 
     def _on_field_event(self, event: FieldEvent) -> None:
         if isinstance(event, PeerEntered):
-            with self._cond:
-                self._cond.notify_all()
+            self._task.wake()
 
-    def _event_loop(self) -> None:
-        while True:
-            head: Optional[Operation] = None
-            with self._cond:
-                if self._stopped:
-                    return
-                self._expire_locked()
-                if not self._queue:
-                    self._cond.wait()
-                    continue
-                if not self._port.environment.peers_of(self._port):
-                    self._cond.wait(_WAIT_SLICE_SECONDS)
-                    continue
-                head = self._queue[0]
-            succeeded = self._attempt(head)
-            with self._cond:
-                if self._stopped:
-                    return
-                if succeeded:
-                    if self._queue and self._queue[0] is head:
-                        self._queue.popleft()
-                    self.successes += 1
-                else:
-                    self._cond.wait(_RETRY_INTERVAL_SECONDS)
-                    continue
-            head.outcome = OperationOutcome.SUCCEEDED
-            self._post(head.on_success)
+    def _step(self) -> Optional[float]:
+        """Push the head beam if a peer is near; with none near, park on
+        the earliest beam deadline (a ``PeerEntered`` wakes us sooner)."""
+        with self._lock:
+            if self._stopped:
+                return None
+            self._expire_locked()
+            if not self._queue:
+                return None
+            deadline = min(operation.deadline for operation in self._queue)
+            if not self._port.environment.peers_of(self._port):
+                return deadline
+            head = self._queue[0]
+        if not self._attempt(head):
+            return min(self._clock.now() + _RETRY_INTERVAL_SECONDS, deadline)
+        with self._lock:
+            if self._stopped:
+                return None
+            if self._queue and self._queue[0] is head:
+                self._queue.popleft()
+            self.successes += 1
+        head.outcome = OperationOutcome.SUCCEEDED
+        self._post(head.on_success)
+        return self._clock.now()
 
     def _expire_locked(self) -> None:
         now = self._clock.now()
@@ -206,9 +200,11 @@ class Beamer:
             return False
 
     def _post(self, callback) -> None:
+        """Schedule ``callback`` on the main thread; dropped only when the
+        looper has quit (activity torn down)."""
         try:
             self._looper.post(lambda: callback())
-        except Exception:  # noqa: BLE001 - looper quit during shutdown
+        except LooperError:  # looper quit during shutdown
             pass
 
 

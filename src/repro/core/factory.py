@@ -42,7 +42,6 @@ class TagReferenceFactory:
         read_converter: NdefMessageToObjectConverter,
         write_converter: ObjectToNdefMessageConverter,
         default_timeout: Optional[float] = None,
-        threaded: Optional[bool] = None,
         coalesce_writes: Optional[bool] = None,
         batched: Optional[bool] = None,
     ) -> "tuple[TagReference, bool]":
@@ -50,14 +49,13 @@ class TagReferenceFactory:
 
         The converters only matter on first creation; later lookups return
         the existing reference unchanged, preserving its queue and cache.
-        New references run on the device's shared reactor (one bounded
-        worker pool per device) unless ``threaded=True`` selects the
-        paper-literal thread-per-reference mode. ``coalesce_writes=True``
+        New references run on the device's reactor (see
+        ``AndroidDevice(reactor_mode=...)``). ``coalesce_writes=True``
         makes the reference's writes coalescible by default (see
         :meth:`TagReference.write`). ``batched=False`` opts the
         reference out of the device's per-port transaction scheduler
-        (see :mod:`repro.radio.txscheduler`); reactor references batch
-        by default.
+        (see :mod:`repro.radio.txscheduler`); references batch by
+        default.
         """
         with self._lock:
             existing = self._references.get(tag.id)
@@ -66,8 +64,6 @@ class TagReferenceFactory:
             kwargs = {}
             if default_timeout is not None:
                 kwargs["default_timeout"] = default_timeout
-            if threaded is not None:
-                kwargs["threaded"] = threaded
             if coalesce_writes is not None:
                 kwargs["coalesce_writes"] = coalesce_writes
             if batched is not None:

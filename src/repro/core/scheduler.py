@@ -1,47 +1,42 @@
-"""The reactor: multiplexes many logical event loops onto few threads.
+"""The reactor: runs many logical event loops as serial tasks.
 
 The paper gives every tag reference "its own thread of control"
 (section 3.2). That is a statement about *logical* concurrency — each
 reference processes its queue independently, so a tag that is out of
-range never head-of-line blocks a tag that is present. The seed
-reproduced it literally with one OS thread per reference, which caps a
-process at a few hundred live references and burns CPU in polling
-waits. Following RAFDA's separation of the logical object model from
-the physical distribution policy (see PAPERS.md and DESIGN.md decision
-7), this module keeps the per-reference event-loop *semantics* while
-multiplexing execution onto a bounded worker pool:
+range never head-of-line blocks a tag that is present. Following
+RAFDA's separation of the logical object model from the physical
+distribution policy (see PAPERS.md and DESIGN.md decision 7), every
+loop is a :class:`ReactorTask` and a backend decides which threads run
+it:
 
-* every logical loop is a :class:`ReactorTask` — a ``step`` callable
-  that runs one scheduling quantum and reports when it next wants to
-  run;
-* a task is **serial**: the reactor never runs the same task on two
-  workers at once (wakeups arriving mid-step set a rerun flag), so each
-  reference keeps its per-tag FIFO guarantees without extra locking;
-* tasks never sleep on a worker — a task waiting for a retry interval,
-  an operation deadline, or a tag to reappear *returns*, freeing its
-  worker, and is re-queued by the deadline heap or an external
-  :meth:`ReactorTask.wake` (field events, enqueues, clock advances);
-* the pool is bounded (default ``min(32, 4 × cores)``) and lazily
-  grown, so a thousand idle references cost zero threads and zero CPU.
+* a task's ``step`` runs one scheduling quantum and reports when it
+  next wants to run;
+* a task is **serial**: its step never runs twice at once (wakeups
+  arriving mid-step set a rerun flag), so each reference keeps its
+  per-tag FIFO guarantees without extra locking;
+* a step never sleeps — a task waiting for a retry interval, a deadline
+  or a tag *returns*, and runs again when its deadline passes or an
+  external :meth:`ReactorTask.wake` arrives (field events, enqueues).
 
-Time handling is fully event-driven. With a real clock the timer waits
-exactly until the earliest deadline; with a :class:`~repro.clock.
-ManualClock` the reactor subscribes to advance notifications, so
-simulated time only needs to move for deadlines to fire. Clocks that
-support neither fall back to a coarse real-time poll.
+Time is event-driven: a real clock gets exact timed waits until the
+earliest deadline, a :class:`~repro.clock.ManualClock` advance
+notifications, so simulated time only needs to move for deadlines to
+fire. One step-runner (:meth:`Reactor._claim_locked`,
+:meth:`Reactor._run_step`, :meth:`Reactor._finish_locked`) serves three
+backends, selected by ``Reactor(mode=...)``:
 
-Two backends implement the same contract. ``Reactor(mode="threaded")``
-(the default) is the worker pool described above. ``Reactor(
-mode="asyncio")`` — :class:`AsyncioReactor` — runs every task's steps as
-callbacks on one ``asyncio`` event loop instead: no worker threads, no
-timer thread, and the deadline heap is serviced by a single
-``loop.call_later`` armed at the earliest deadline (or by ``ManualClock``
-advance notifications, exactly like the threaded timer). A process can
-hold hundreds of thousands of idle references in asyncio mode because an
-idle task is just a small Python object — no stack, no lock-guarded
-hand-off, no thread wakeups. :class:`ReactorTask` is identical over both
-backends; only the machinery that runs steps differs (DESIGN.md
-decision 14).
+* ``"threaded"`` (default) — a lazily grown worker pool (default
+  ``min(32, 4 × cores)``) plus a timer thread over a deadline heap;
+* ``"asyncio"`` — :class:`AsyncioReactor`: steps are callbacks on one
+  event loop with one ``call_later`` armed at the earliest deadline, so
+  an idle task is a small object (100k idle references per process);
+* ``"dedicated"`` — :class:`DedicatedReactor`: one OS thread per task,
+  the paper-literal thread per reference and the substrate of every
+  :class:`~repro.android.looper.Looper`.
+
+Everything built on tasks — references, the per-port transaction
+scheduler, beamers, lease keepers, gateway shards — runs unchanged on
+any of them (DESIGN.md decision 14).
 """
 
 from __future__ import annotations
@@ -49,28 +44,26 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import logging
 import os
 import threading
-import traceback
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.clock import Clock, SystemClock
+
+_log = logging.getLogger(__name__)
 
 # A task step runs one quantum and returns when it next wants to run:
 # ``None`` for "idle until woken externally", or an absolute clock time
 # ("now or earlier" means immediately).
 StepFn = Callable[[], Optional[float]]
 
-# Fallback real-time slice for exotic clocks that are neither a
-# SystemClock nor advance-notifying; never used with the shipped clocks.
-_FALLBACK_POLL_SECONDS = 0.01
-
 _IDLE = 0  # not scheduled; runs only when woken
-_QUEUED = 1  # in the ready queue, a worker will pick it up
-_RUNNING = 2  # a worker is executing its step right now
+_QUEUED = 1  # due: a worker, the loop or its own thread will run it
+_RUNNING = 2  # its step is executing right now
 
-_REACTOR_MODES = ("threaded", "asyncio")
+_REACTOR_MODES = ("threaded", "asyncio", "dedicated")
 
 
 def default_worker_count() -> int:
@@ -97,17 +90,16 @@ class ReactorTask:
         self._cancelled = False
 
     def wake(self) -> None:
-        """Schedule a step as soon as a worker is free (coalescing)."""
+        """Schedule a step as soon as possible (coalescing)."""
         self._reactor._wake(self)
 
     def schedule_at(self, when: float) -> None:
         """Adopt ``when`` (absolute clock time) as a deadline for this task.
 
-        Pushes a timer-heap entry without spinning up a worker -- the
-        cheap alternative to :meth:`wake` when nothing needs to run
+        The cheap alternative to :meth:`wake` when nothing needs to run
         *now* but the task's earliest deadline may have moved (e.g. a
         queued write was merged into and inherited a new timeout).
-        Entries are never removed early: a stale earlier entry just
+        Deadlines are never removed early: a stale earlier one just
         causes one spurious step that re-evaluates and re-schedules.
         """
         with self._reactor._cond:
@@ -115,35 +107,30 @@ class ReactorTask:
                 return
             self._reactor._schedule_at_locked(self, when)
 
-    def cancel(self) -> None:
+    def cancel(self, join_timeout: float = 5.0) -> None:
         """Permanently deregister this task.
 
-        Future wakes become no-ops and stale deadline-heap entries are
-        ignored when they fire. A step already executing finishes (its
-        own stop flag governs what it does), but no further step runs.
-        Unlike :meth:`wake`, cancelling never spins up reactor threads —
-        tearing down a task on a cold reactor stays thread-free.
+        Future wakes become no-ops and pending deadlines are ignored. A
+        step already executing finishes (its own stop flag governs what
+        it does), but no further step runs. Cancelling never starts a
+        thread; on the dedicated backend it ends the task's thread and
+        joins it (up to ``join_timeout`` seconds, unless called from it).
         """
-        with self._reactor._cond:
-            self._cancelled = True
+        self._reactor._cancel(self, join_timeout)
 
     def __repr__(self) -> str:
         return f"ReactorTask({self.name!r})"
 
 
 class Reactor:
-    """A bounded worker pool driving many serial tasks by deadline.
+    """Drives many serial tasks by deadline; the backend picks the threads.
 
     One reactor per simulated device (see ``AndroidDevice.reactor``);
-    all of the device's tag references share its workers. Constructing a
-    reactor is cheap — no threads exist until the first task is woken.
-
-    ``mode`` selects the backend: ``"threaded"`` (this class, the
-    default) or ``"asyncio"`` (:class:`AsyncioReactor` — the constructor
-    dispatches, so ``Reactor(mode="asyncio")`` *is* an
-    ``AsyncioReactor``). Both honour the full :class:`ReactorTask`
-    contract; everything built on tasks — references, the per-port
-    transaction scheduler, lease keepers — runs unchanged on either.
+    all of the device's tag references share it. ``mode`` selects the
+    backend and the constructor dispatches: ``Reactor(mode="asyncio")``
+    *is* an :class:`AsyncioReactor`, ``Reactor(mode="dedicated")`` a
+    :class:`DedicatedReactor`. This class is the ``"threaded"`` worker
+    pool, which starts no thread until the first task is woken.
     """
 
     def __new__(
@@ -159,6 +146,8 @@ class Reactor:
             )
         if cls is Reactor and mode == "asyncio":
             return super().__new__(AsyncioReactor)
+        if cls is Reactor and mode == "dedicated":
+            return super().__new__(DedicatedReactor)
         return super().__new__(cls)
 
     def __init__(
@@ -174,7 +163,8 @@ class Reactor:
         self._max_workers = max(
             1, max_workers if max_workers is not None else default_worker_count()
         )
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._ready: Deque[ReactorTask] = deque()
         self._timers: List[Tuple[float, int, ReactorTask]] = []  # deadline heap
         self._seq = itertools.count()
@@ -184,10 +174,10 @@ class Reactor:
         self._started = False
         self._stopped = False
         self._steps = 0
-        # How deadlines are waited for: an advance-notifying clock wakes
-        # us, a real clock gets an exact timed wait, anything else polls.
+        self._crashed = 0
+        # An advance-notifying clock wakes us when simulated time moves;
+        # any other clock is real time and gets exact timed waits.
         self._clock_notifies = hasattr(self._clock, "add_listener")
-        self._clock_is_realtime = isinstance(self._clock, SystemClock)
 
     # -- introspection ---------------------------------------------------------
 
@@ -197,12 +187,9 @@ class Reactor:
 
     @property
     def thread_count(self) -> int:
-        """Live reactor threads (workers + timer), for tests/benches."""
+        """Live reactor threads, for tests/benches."""
         with self._cond:
-            count = sum(1 for worker in self._workers if worker.is_alive())
-            if self._timer_thread is not None and self._timer_thread.is_alive():
-                count += 1
-            return count
+            return sum(1 for thread in self._threads_locked() if thread.is_alive())
 
     @property
     def steps_executed(self) -> int:
@@ -210,14 +197,18 @@ class Reactor:
             return self._steps
 
     @property
+    def crashed_steps(self) -> int:
+        """Steps that raised instead of returning (each one is logged)."""
+        with self._cond:
+            return self._crashed
+
+    @property
     def owns_current_thread(self) -> bool:
-        """True when called from one of this reactor's workers or its
-        timer thread -- the affinity-sanitizer's middleware test."""
+        """True when called from one of this reactor's threads -- the
+        affinity-sanitizer's middleware test."""
         current = threading.current_thread()
         with self._cond:
-            return current is self._timer_thread or any(
-                current is worker for worker in self._workers
-            )
+            return any(current is thread for thread in self._threads_locked())
 
     @property
     def is_stopped(self) -> bool:
@@ -225,21 +216,31 @@ class Reactor:
             return self._stopped
 
     def __repr__(self) -> str:
-        return (
-            f"Reactor({self.name!r}, workers={len(self._workers)}/"
-            f"{self._max_workers})"
-        )
+        return f"{type(self).__name__}({self.name!r}, mode={self.mode!r})"
 
-    # -- task registration ------------------------------------------------------
+    def _threads_locked(self) -> List[threading.Thread]:
+        threads = list(self._workers)
+        if self._timer_thread is not None:
+            threads.append(self._timer_thread)
+        return threads
+
+    # -- task registration and lifecycle ---------------------------------------
 
     def register(self, step: StepFn, name: str = "task") -> ReactorTask:
         """Create a serial task; it stays idle until its first wake."""
+        # Backends override _new_task, never register: tracing tools wrap
+        # Reactor.register itself to see every task of every backend.
+        return self._new_task(step, name)
+
+    def _new_task(self, step: StepFn, name: str) -> ReactorTask:
         return ReactorTask(self, step, name)
 
-    # -- lifecycle ----------------------------------------------------------------
+    def _cancel(self, task: ReactorTask, join_timeout: float) -> None:
+        with self._cond:
+            task._cancelled = True
 
     def stop(self, join_timeout: float = 2.0) -> None:
-        """Stop workers and timer; queued tasks are dropped."""
+        """Stop every reactor thread; queued tasks are dropped."""
         with self._cond:
             if self._stopped:
                 return
@@ -247,9 +248,8 @@ class Reactor:
             self._ready.clear()
             self._timers.clear()
             self._cond.notify_all()
-            threads = list(self._workers)
-            if self._timer_thread is not None:
-                threads.append(self._timer_thread)
+            self._halt_locked()
+            threads = self._threads_locked()
         if self._clock_notifies and self._started:
             self._clock.remove_listener(self._on_clock_advance)
         current = threading.current_thread()
@@ -257,31 +257,68 @@ class Reactor:
             if thread is not current:
                 thread.join(join_timeout)
 
+    def _halt_locked(self) -> None:
+        """Backend hook: tell threads that sleep elsewhere to stop."""
+
+    # -- the shared step-runner ----------------------------------------------------
+
+    def _claim_locked(self, task: ReactorTask) -> bool:
+        """Mark a due task as running; ``False`` if it was cancelled in
+        the meantime (it then stays idle for good)."""
+        if task._cancelled:
+            task._state = _IDLE
+            return False
+        task._state = _RUNNING
+        task._rerun = False
+        self._steps += 1
+        return True
+
+    def _run_step(self, task: ReactorTask) -> Tuple[Optional[float], bool]:
+        """Run one step of a claimed task (no lock held); returns
+        ``(when, crashed)``. A step that raises is logged and returns
+        "idle until woken", so the next wake runs the task again."""
+        try:
+            return task._step(), False
+        except BaseException:  # noqa: BLE001 - a task must not kill its thread
+            _log.exception("reactor %r: step of %r raised", self.name, task.name)
+            return None, True
+
+    def _finish_locked(
+        self, task: ReactorTask, when: Optional[float], crashed: bool
+    ) -> None:
+        """Apply a step's outcome: a wake that arrived mid-step or a
+        deadline already reached reruns the task, a later deadline is
+        adopted, ``None`` leaves it idle; a cancel or stop that landed
+        during the step wins. A crash is counted in :attr:`crashed_steps`."""
+        if crashed:
+            self._crashed += 1
+        if self._stopped:
+            return
+        task._state = _IDLE
+        if task._cancelled:
+            return
+        if task._rerun or (when is not None and when <= self._clock.now()):
+            self._wake_locked(task)
+        elif when is not None:
+            self._schedule_at_locked(task, when)
+
     # -- internals: scheduling --------------------------------------------------
 
     def _wake(self, task: ReactorTask) -> None:
         with self._cond:
-            if self._stopped:
-                return
-            self._wake_locked(task)
+            if not self._stopped:
+                self._wake_locked(task)
 
     def _wake_locked(self, task: ReactorTask) -> None:
         if task._cancelled:
             return
         if task._state == _IDLE:
             task._state = _QUEUED
-            self._ready.append(task)
             self._ensure_started_locked()
-            self._ensure_worker_locked()
-            self._cond.notify_all()
+            self._dispatch_locked(task)
         elif task._state == _RUNNING:
             task._rerun = True
         # _QUEUED: already scheduled, the wake coalesces.
-
-    def _schedule_at_locked(self, task: ReactorTask, when: float) -> None:
-        heapq.heappush(self._timers, (when, next(self._seq), task))
-        self._ensure_started_locked()
-        self._cond.notify_all()  # the timer thread re-evaluates its wait
 
     def _ensure_started_locked(self) -> None:
         if self._started or self._stopped:
@@ -289,12 +326,19 @@ class Reactor:
         self._started = True
         if self._clock_notifies:
             self._clock.add_listener(self._on_clock_advance)
+        self._start_locked()
+
+    # -- internals: the pool -----------------------------------------------------
+
+    def _start_locked(self) -> None:
         self._timer_thread = threading.Thread(
             target=self._timer_loop, name=f"{self.name}-timer", daemon=True
         )
         self._timer_thread.start()
 
-    def _ensure_worker_locked(self) -> None:
+    def _dispatch_locked(self, task: ReactorTask) -> None:
+        """Hand a task that just became due to whatever runs steps."""
+        self._ready.append(task)
         if self._idle_workers == 0 and len(self._workers) < self._max_workers:
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -303,16 +347,23 @@ class Reactor:
             )
             self._workers.append(worker)
             worker.start()
+        self._cond.notify_all()
+
+    def _schedule_at_locked(self, task: ReactorTask, when: float) -> None:
+        heapq.heappush(self._timers, (when, next(self._seq), task))
+        self._ensure_started_locked()
+        self._cond.notify_all()  # the timer thread re-evaluates its wait
 
     def _on_clock_advance(self) -> None:
         with self._cond:
             self._cond.notify_all()
 
-    # -- internals: the pool -----------------------------------------------------
-
     def _worker_loop(self) -> None:
+        task: Optional[ReactorTask] = None
         while True:
             with self._cond:
+                if task is not None:
+                    self._finish_locked(task, when, crashed)
                 while not self._ready and not self._stopped:
                     self._idle_workers += 1
                     self._cond.wait()
@@ -320,27 +371,10 @@ class Reactor:
                 if self._stopped:
                     return
                 task = self._ready.popleft()
-                if task._cancelled:
-                    task._state = _IDLE
+                if not self._claim_locked(task):
+                    task = None
                     continue
-                task._state = _RUNNING
-                task._rerun = False
-                self._steps += 1
-            try:
-                when = task._step()
-            except BaseException:  # noqa: BLE001 - a task must not kill the pool
-                traceback.print_exc()
-                when = None
-            with self._cond:
-                if self._stopped:
-                    return
-                task._state = _IDLE
-                if task._cancelled:
-                    continue
-                if task._rerun or (when is not None and when <= self._clock.now()):
-                    self._wake_locked(task)
-                elif when is not None:
-                    self._schedule_at_locked(task, when)
+            when, crashed = self._run_step(task)
 
     def _timer_loop(self) -> None:
         while True:
@@ -351,41 +385,27 @@ class Reactor:
                 while self._timers and self._timers[0][0] <= now:
                     _due, _seq, task = heapq.heappop(self._timers)
                     self._wake_locked(task)
-                if not self._timers:
-                    self._cond.wait()
-                elif self._clock_notifies:
-                    # A ManualClock advance (or a new earlier deadline)
-                    # notifies us; no real time needs to pass.
-                    self._cond.wait()
-                elif self._clock_is_realtime:
-                    self._cond.wait(max(self._timers[0][0] - now, 0.0))
+                if self._timers and not self._clock_notifies:
+                    self._cond.wait(self._timers[0][0] - now)
                 else:
-                    self._cond.wait(_FALLBACK_POLL_SECONDS)
+                    # Nothing pending, or a ManualClock: an advance (or a
+                    # new earlier deadline) notifies us.
+                    self._cond.wait()
 
 
 class AsyncioReactor(Reactor):
     """The coroutine backend: every task steps on one ``asyncio`` loop.
 
-    Selected with ``Reactor(mode="asyncio")``. The public surface is the
-    base class's — ``register`` hands out ordinary :class:`ReactorTask`
-    objects and ``wake`` / ``schedule_at`` / ``cancel`` behave
-    identically — but execution happens as plain callbacks on a single
-    event loop running on one daemon thread:
-
-    * a wake posts a ``call_soon`` that pops one ready task and runs its
-      step inline (steps are short, non-blocking quanta by contract —
-      the same contract the worker pool relies on); serial-per-task and
-      rerun-on-mid-step-wake come from the shared state machine;
-    * the deadline heap is serviced by **one** ``loop.call_later``
-      armed at the earliest deadline (real clock), by ``ManualClock``
-      advance notifications, or by a coarse poll for exotic clocks —
-      mirroring the threaded timer thread without owning a thread;
-    * an idle task costs nothing: no handle, no timer, no stack. This
-      is what lets one process hold 100k idle references
-      (``benchmarks/test_bench_async.py``).
-
-    The loop thread is the only thread the backend ever creates, so
-    ``thread_count`` is at most 1 regardless of task count.
+    Selected with ``Reactor(mode="asyncio")``; ``register`` hands out
+    ordinary :class:`ReactorTask` objects. A wake posts a ``call_soon``
+    that pops one ready task and runs its step inline (steps are short,
+    non-blocking quanta by contract — the same contract the worker pool
+    relies on). The deadline heap is serviced by **one**
+    ``loop.call_later`` armed at the earliest deadline, or by
+    ``ManualClock`` advance notifications. An idle task costs no
+    handle, timer or stack — what lets one process hold 100k idle
+    references (``benchmarks/test_bench_async.py``). The loop thread is
+    the backend's only thread.
     """
 
     def __init__(
@@ -404,21 +424,8 @@ class AsyncioReactor(Reactor):
         # to; a schedule_at later than this needs no extra service pass.
         self._timer_deadline: Optional[float] = None
 
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def thread_count(self) -> int:
-        with self._cond:
-            thread = self._loop_thread
-            return 1 if thread is not None and thread.is_alive() else 0
-
-    @property
-    def owns_current_thread(self) -> bool:
-        with self._cond:
-            return threading.current_thread() is self._loop_thread
-
-    def __repr__(self) -> str:
-        return f"AsyncioReactor({self.name!r})"
+    def _threads_locked(self) -> List[threading.Thread]:
+        return [] if self._loop_thread is None else [self._loop_thread]
 
     @property
     def loop(self) -> Optional[asyncio.AbstractEventLoop]:
@@ -426,44 +433,24 @@ class AsyncioReactor(Reactor):
         with self._cond:
             return self._loop
 
-    # -- lifecycle ----------------------------------------------------------------
-
-    def stop(self, join_timeout: float = 2.0) -> None:
-        with self._cond:
-            if self._stopped:
-                return
-            self._stopped = True
-            self._ready.clear()
-            self._timers.clear()
-            self._cond.notify_all()
-            loop = self._loop
-            thread = self._loop_thread
-        if self._clock_notifies and self._started:
-            self._clock.remove_listener(self._on_clock_advance)
-        if loop is not None:
+    def _halt_locked(self) -> None:
+        if self._loop is not None:
             try:
-                loop.call_soon_threadsafe(loop.stop)
+                self._loop.call_soon_threadsafe(self._loop.stop)
             except RuntimeError:
                 pass  # already closed
-            if thread is not None and thread is not threading.current_thread():
-                thread.join(join_timeout)
 
     # -- internals: scheduling ----------------------------------------------------
 
-    def _ensure_started_locked(self) -> None:
-        if self._started or self._stopped:
-            return
-        self._started = True
-        if self._clock_notifies:
-            self._clock.add_listener(self._on_clock_advance)
-        self._loop = asyncio.new_event_loop()
+    def _start_locked(self) -> None:
+        # Selector loop: the only kind the simulation needs, on any OS.
+        self._loop = asyncio.SelectorEventLoop()
         self._loop_thread = threading.Thread(
             target=self._loop_runner, name=f"{self.name}-aioloop", daemon=True
         )
         self._loop_thread.start()
 
     def _loop_runner(self) -> None:
-        asyncio.set_event_loop(self._loop)
         try:
             self._loop.run_forever()
         finally:
@@ -482,17 +469,9 @@ class AsyncioReactor(Reactor):
         except RuntimeError:
             pass  # loop closed between the check and the call
 
-    def _wake_locked(self, task: ReactorTask) -> None:
-        if task._cancelled:
-            return
-        if task._state == _IDLE:
-            task._state = _QUEUED
-            self._ready.append(task)
-            self._ensure_started_locked()
-            self._call_on_loop(self._run_one)
-        elif task._state == _RUNNING:
-            task._rerun = True
-        # _QUEUED: already scheduled, the wake coalesces.
+    def _dispatch_locked(self, task: ReactorTask) -> None:
+        self._ready.append(task)
+        self._call_on_loop(self._run_one)
 
     def _schedule_at_locked(self, task: ReactorTask, when: float) -> None:
         heapq.heappush(self._timers, (when, next(self._seq), task))
@@ -517,27 +496,11 @@ class AsyncioReactor(Reactor):
             if self._stopped or not self._ready:
                 return
             task = self._ready.popleft()
-            if task._cancelled:
-                task._state = _IDLE
+            if not self._claim_locked(task):
                 return
-            task._state = _RUNNING
-            task._rerun = False
-            self._steps += 1
-        try:
-            when = task._step()
-        except BaseException:  # noqa: BLE001 - a task must not kill the loop
-            traceback.print_exc()
-            when = None
+        when, crashed = self._run_step(task)
         with self._cond:
-            if self._stopped:
-                return
-            task._state = _IDLE
-            if task._cancelled:
-                return
-            if task._rerun or (when is not None and when <= self._clock.now()):
-                self._wake_locked(task)
-            elif when is not None:
-                self._schedule_at_locked(task, when)
+            self._finish_locked(task, when, crashed)
 
     def _service_timers(self) -> None:
         """Fire due deadlines, re-arm the single timer (loop thread only)."""
@@ -557,11 +520,122 @@ class AsyncioReactor(Reactor):
             # An advance-notifying clock re-services on the next advance;
             # nothing to arm — simulated time never passes on its own.
             return
-        if self._clock_is_realtime:
-            delay = max(deadline - now, 0.0)
-        else:
-            delay = _FALLBACK_POLL_SECONDS
-        self._timer_handle = self._loop.call_later(delay, self._service_timers)
+        self._timer_handle = self._loop.call_later(
+            max(deadline - now, 0.0), self._service_timers
+        )
+
+
+class _DedicatedTask(ReactorTask):
+    """A task of the dedicated backend: its own thread, its own wait
+    condition (over the reactor's lock) and its own deadline heap."""
+
+    __slots__ = ("thread", "_signal", "_deadlines")
+
+
+class DedicatedReactor(Reactor):
+    """The thread-per-task backend: ``Reactor(mode="dedicated")``.
+
+    :meth:`register` starts one daemon thread per task, named after the
+    task, which waits only for that task: a wake, or its earliest
+    deadline — an exact timed wait on a real clock, an advance
+    notification on a ``ManualClock``. No pool, no timer thread, no
+    poll: a parked task costs a thread stack and no CPU. Cancelling a
+    task ends and joins its thread. ``max_workers`` is ignored.
+    """
+
+    def __init__(
+        self,
+        clock: Optional[Clock] = None,
+        max_workers: Optional[int] = None,
+        name: str = "reactor",
+        mode: str = "dedicated",
+    ) -> None:
+        super().__init__(clock, max_workers, name, mode="dedicated")
+        self._tasks: Set[_DedicatedTask] = set()  # live (uncancelled) tasks
+
+    def _threads_locked(self) -> List[threading.Thread]:
+        return [task.thread for task in self._tasks]
+
+    def _new_task(self, step: StepFn, name: str) -> ReactorTask:
+        task = _DedicatedTask(self, step, name)
+        task._signal = threading.Condition(self._lock)
+        task._deadlines = []
+        task.thread = threading.Thread(
+            target=self._task_loop, args=(task,), name=name, daemon=True
+        )
+        with self._cond:
+            if self._stopped:
+                task._cancelled = True  # a stopped reactor runs nothing
+                return task
+            self._ensure_started_locked()
+            self._tasks.add(task)
+            # Started under the lock: stop() never meets an unjoinable thread.
+            task.thread.start()
+        return task
+
+    def _cancel(self, task: ReactorTask, join_timeout: float) -> None:
+        with self._cond:
+            task._cancelled = True
+            self._tasks.discard(task)
+            task._signal.notify()
+        thread = task.thread
+        if thread.is_alive() and thread is not threading.current_thread():
+            thread.join(join_timeout)
+
+    def _halt_locked(self) -> None:
+        for task in self._tasks:
+            task._signal.notify()
+
+    # -- internals: scheduling ----------------------------------------------------
+
+    def _start_locked(self) -> None:
+        pass  # every task brings its own thread
+
+    def _dispatch_locked(self, task: ReactorTask) -> None:
+        task._signal.notify()
+
+    def _schedule_at_locked(self, task: ReactorTask, when: float) -> None:
+        heapq.heappush(task._deadlines, when)
+        if task._deadlines[0] == when:
+            task._signal.notify()  # shorten the thread's timed wait
+
+    def _due_locked(self, task: _DedicatedTask) -> bool:
+        """Whether ``task`` should step now: it was woken, or its
+        earliest deadline passed (every passed deadline is consumed)."""
+        deadlines = task._deadlines
+        if task._state == _IDLE and deadlines:
+            now = self._clock.now()
+            if deadlines[0] <= now:
+                while deadlines and deadlines[0] <= now:
+                    heapq.heappop(deadlines)
+                task._state = _QUEUED
+        return task._state == _QUEUED
+
+    def _on_clock_advance(self) -> None:
+        with self._cond:
+            for task in self._tasks:
+                if self._due_locked(task):
+                    task._signal.notify()
+
+    def _task_loop(self, task: _DedicatedTask) -> None:
+        """A task's thread: wait until the task is due, run one step,
+        repeat until the task is cancelled or the reactor stops."""
+        ran = False
+        while True:
+            with self._cond:
+                if ran:
+                    self._finish_locked(task, when, crashed)
+                while not self._due_locked(task):
+                    if self._stopped or task._cancelled:
+                        return
+                    if task._deadlines and not self._clock_notifies:
+                        task._signal.wait(task._deadlines[0] - self._clock.now())
+                    else:
+                        task._signal.wait()
+                if self._stopped or not self._claim_locked(task):
+                    return
+            when, crashed = self._run_step(task)
+            ran = True
 
 
 class PortReadyQueue:

@@ -107,6 +107,24 @@ class TestLifecycle:
         assert a.is_destroyed and b.is_destroyed
         assert not dev.main_looper.alive
 
+    @pytest.mark.parametrize("reactor_mode", ("threaded", "asyncio", "dedicated"))
+    def test_idle_device_adds_exactly_one_thread(self, reactor_mode):
+        """An idle phone costs its main looper's thread and nothing else,
+        whatever its reactor backend; shutdown takes that thread back."""
+        from repro.core.nfc_activity import NFCActivity
+
+        env = RfidEnvironment()
+        before = set(threading.enumerate())
+        dev = AndroidDevice("idle", env, reactor_mode=reactor_mode)
+        try:
+            dev.start_activity(NFCActivity)
+            dev.sync()
+            added = [t for t in threading.enumerate() if t not in before]
+            assert [thread.name for thread in added] == ["looper-idle-main"]
+        finally:
+            dev.shutdown()
+        assert not added[0].is_alive()
+
 
 class TestIntentDelivery:
     def test_resumed_activity_receives_intents(self, device):

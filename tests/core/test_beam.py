@@ -1,8 +1,11 @@
 """Tests for Beamer and BeamReceivedListener: async, undirected pushes."""
 
+import time
+
 import pytest
 
-from repro.concurrent import EventLog
+from repro.clock import ManualClock
+from repro.concurrent import EventLog, wait_until
 from repro.core.beam import Beamer, BeamReceivedListener
 from repro.core.converters import (
     NdefMessageToStringConverter,
@@ -11,6 +14,7 @@ from repro.core.converters import (
 from repro.core.nfc_activity import NFCActivity
 from repro.core.operations import OperationOutcome
 from repro.errors import ReferenceStoppedError
+from repro.harness.scenario import Scenario
 
 BEAM_TYPE = "application/x-beam-test"
 
@@ -190,3 +194,70 @@ class TestLifecycle:
         operation = beamer.beam("x", on_failed=lambda: log.append("failed"))
         assert operation.outcome is OperationOutcome.FAILED
         assert log.wait_for_count(1)
+
+    def test_only_a_quit_looper_drops_a_listener(self, scenario, sender, monkeypatch):
+        """A listener is dropped silently only when the main looper has
+        quit; any other error from ``post`` is a bug and surfaces."""
+        sender_phone, sender_app = sender
+        from repro.core.converters import ObjectToNdefMessageConverter
+        from repro.errors import ConverterError, LooperError
+
+        class Rejecting(ObjectToNdefMessageConverter):
+            def convert(self, obj):
+                raise ConverterError("nope")
+
+        beamer = Beamer(sender_app, Rejecting())
+        looper = sender_phone.main_looper
+
+        def quit_post(runnable):
+            raise LooperError("looper has quit")
+
+        monkeypatch.setattr(looper, "post", quit_post)
+        operation = beamer.beam("x", on_failed=lambda: None)
+        assert operation.outcome is OperationOutcome.FAILED
+
+        def broken_post(runnable):
+            raise RuntimeError("not a shutdown")
+
+        monkeypatch.setattr(looper, "post", broken_post)
+        with pytest.raises(RuntimeError, match="not a shutdown"):
+            beamer.beam("y", on_failed=lambda: None)
+
+
+class TestManualClock:
+    def test_parked_beam_is_event_driven(self):
+        """With no peer near, a queued beam parks on its deadline: no
+        reactor step while real time passes, delivery as soon as a peer
+        enters, and a timeout only when simulated time reaches it."""
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            sender_phone = scenario.add_phone("sender")
+            receiver_phone = scenario.add_phone("receiver")
+            sender_app = scenario.start(sender_phone, SenderApp)
+            receiver_app = scenario.start(receiver_phone, ReceiverApp)
+            reactor = sender_phone.reactor
+            sent, failed = EventLog(), EventLog()
+            sender_app.beamer.beam(
+                "parked", on_success=lambda: sent.append(1), timeout=10.0
+            )
+            assert wait_until(lambda: reactor.steps_executed >= 1, timeout=5)
+            steps = reactor.steps_executed
+            time.sleep(0.1)
+            assert reactor.steps_executed == steps  # parked, not polling
+            assert sender_app.beamer.pending_count == 1
+
+            scenario.env.bring_together(sender_phone.port, receiver_phone.port)
+            assert sent.wait_for_count(1)
+            assert receiver_app.received.wait_for_count(1)
+
+            scenario.env.separate(sender_phone.port, receiver_phone.port)
+            operation = sender_app.beamer.beam(
+                "lost", on_failed=lambda: failed.append(1), timeout=10.0
+            )
+            clock.advance(9.0)
+            time.sleep(0.05)  # give a wrong timeout the chance to fire
+            assert len(failed) == 0
+            clock.advance(1.5)
+            assert failed.wait_for_count(1)
+            assert operation.outcome is OperationOutcome.TIMED_OUT
+            assert sender_app.beamer.timeouts == 1

@@ -1,5 +1,7 @@
 """Property-based tests of the tag-reference queue semantics."""
 
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,27 +89,38 @@ def test_interleaved_reads_observe_program_order(reads, writes):
 def test_stop_leaves_no_thread_behind(operation_count):
     """stop() always retires the private event loop, queue drained or not.
 
-    In the default reactor mode a reference owns no thread at all (its
-    logical loop is a task on the device's shared pool); in the legacy
-    ``threaded=True`` mode stop() must join the private thread.
+    On the default reactor a reference owns no thread at all (its logical
+    loop is a task on the device's shared pool); on a
+    ``reactor_mode="dedicated"`` device stop() must join the reference's
+    own thread.
     """
     env = RfidEnvironment()
     phone = AndroidDevice("stop-phone", env)
+    dedicated_phone = AndroidDevice("stop-dedicated", env, reactor_mode="dedicated")
     try:
         activity = phone.start_activity(PlainNfcActivity)
+        dedicated_activity = dedicated_phone.start_activity(PlainNfcActivity)
         tag = text_tag("x")  # never in the field: everything stays queued
-        threaded_tag = text_tag("y")
+        dedicated_tag = text_tag("y")
         reference = make_reference(activity, tag, phone)
-        threaded_ref = make_reference(activity, threaded_tag, phone, threaded=True)
+        dedicated_ref = make_reference(
+            dedicated_activity, dedicated_tag, dedicated_phone
+        )
+        dedicated_thread = dedicated_ref._task.thread
+        assert dedicated_thread.is_alive()
         for index in range(operation_count):
             reference.write(f"w{index}")
-            threaded_ref.write(f"w{index}")
+            dedicated_ref.write(f"w{index}")
         reference.stop()
-        threaded_ref.stop()
+        dedicated_ref.stop()
         assert reference.is_stopped
         assert reference.pending_count == 0
-        assert reference._thread is None  # reactor mode: no private thread
-        assert threaded_ref.is_stopped
-        assert not threaded_ref._thread.is_alive()
+        # Default reactor: no private thread.
+        assert f"tagref-{reference.uid_hex}" not in {
+            thread.name for thread in threading.enumerate()
+        }
+        assert dedicated_ref.is_stopped
+        assert not dedicated_thread.is_alive()
     finally:
+        dedicated_phone.shutdown()
         phone.shutdown()

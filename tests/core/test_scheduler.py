@@ -1,16 +1,20 @@
 """Tests for the reactor scheduler and reactor-backed reference semantics.
 
 The first half exercises :class:`repro.core.scheduler.Reactor` directly
-(serial tasks, cross-task concurrency, deadline timers, bounded lazy
-workers). The second half checks the paper guarantees *through* the
-reactor: per-tag FIFO ordering for pipelined operations and freedom from
-cross-tag head-of-line blocking, even on a single-worker pool.
+(serial tasks, cross-task concurrency, deadline timers, crash counting,
+cancellation, bounded lazy threads), each contract case on all three
+backends: the worker pool, the asyncio loop and thread-per-task. The
+second half checks the paper guarantees *through* the reactor: per-tag
+FIFO ordering for pipelined operations and freedom from cross-tag
+head-of-line blocking, even on a single-worker pool.
 """
 
+import logging
+import sys
 import threading
 import time
 
-from repro.clock import ManualClock
+from repro.clock import ManualClock, SystemClock
 from repro.concurrent import EventLog, wait_until
 from repro.core.scheduler import PortReadyQueue, Reactor, default_worker_count
 
@@ -21,18 +25,34 @@ from tests.conftest import (
 )
 
 
+def thread_bound(reactor, tasks: int) -> int:
+    """The most threads ``reactor`` may own with ``tasks`` tasks woken:
+    the pool plus its timer, the single loop thread, or one per task."""
+    if reactor.mode == "threaded":
+        return reactor.max_workers + 1
+    if reactor.mode == "asyncio":
+        return 1
+    return tasks
+
+
 class TestReactor:
+    """The task contract on the default worker pool; the subclasses at the
+    end of this section run every case again on the other backends."""
+
+    mode = "threaded"
+
     def test_lazy_threads_and_bounded_pool(self):
-        """No threads until the first wake; never more than the bound."""
-        reactor = Reactor(max_workers=2, name="lazy")
+        """The pool and the loop start no thread until the first wake, a
+        dedicated task starts its own at registration; none exceeds its
+        bound, and stop() retires them all."""
+        reactor = Reactor(max_workers=2, name="lazy", mode=self.mode)
         try:
             assert reactor.thread_count == 0
             task = reactor.register(lambda: None, name="noop")
-            assert reactor.thread_count == 0  # registration is free
+            assert reactor.thread_count == (1 if self.mode == "dedicated" else 0)
             task.wake()
             assert wait_until(lambda: reactor.steps_executed >= 1, timeout=5)
-            # 2 workers at most, plus the timer thread.
-            assert reactor.thread_count <= 3
+            assert reactor.thread_count <= thread_bound(reactor, 1)
         finally:
             reactor.stop()
         assert reactor.is_stopped
@@ -42,8 +62,10 @@ class TestReactor:
         assert 1 <= default_worker_count() <= 32
 
     def test_task_is_serial_even_under_concurrent_wakes(self):
-        """The same task never runs on two workers at once."""
-        reactor = Reactor(max_workers=4, name="serial")
+        """The same task never runs twice at once."""
+        reactor = Reactor(max_workers=4, name="serial", mode=self.mode)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per wake
         try:
             lock = threading.Lock()
             state = {"active": 0, "overlaps": 0, "runs": 0}
@@ -75,11 +97,12 @@ class TestReactor:
             assert wait_until(lambda: state["active"] == 0, timeout=5)
             assert state["overlaps"] == 0
         finally:
+            sys.setswitchinterval(switch_interval)
             reactor.stop()
 
     def test_distinct_tasks_run_concurrently(self):
-        """Two tasks meet at a barrier: only possible on two workers."""
-        reactor = Reactor(max_workers=4, name="parallel")
+        """Two tasks meet at a barrier: only possible on two threads."""
+        reactor = Reactor(max_workers=4, name="parallel", mode=self.mode)
         try:
             barrier = threading.Barrier(2, timeout=5)
             met = EventLog()
@@ -100,7 +123,7 @@ class TestReactor:
 
     def test_wake_during_step_causes_rerun(self):
         """A wake landing mid-step is never lost: another step follows."""
-        reactor = Reactor(max_workers=2, name="rerun")
+        reactor = Reactor(max_workers=2, name="rerun", mode=self.mode)
         try:
             started = threading.Event()
             release = threading.Event()
@@ -124,7 +147,7 @@ class TestReactor:
     def test_manual_clock_timer_fires_on_advance_only(self):
         """A future deadline fires when simulated time reaches it."""
         clock = ManualClock()
-        reactor = Reactor(clock=clock, max_workers=2, name="timed")
+        reactor = Reactor(clock=clock, max_workers=2, name="timed", mode=self.mode)
         try:
             fired = EventLog()
             state = {"scheduled": False}
@@ -147,9 +170,29 @@ class TestReactor:
         finally:
             reactor.stop()
 
+    def test_schedule_at_fires_on_a_real_clock(self):
+        """An external deadline runs the idle task once it passes, and a
+        later one again (a step at the first does not drop the second)."""
+        clock = SystemClock()
+        reactor = Reactor(clock=clock, max_workers=2, name="deadline", mode=self.mode)
+        try:
+            runs = EventLog()
+            task = reactor.register(
+                lambda: runs.append(clock.now()) or None, name="sleeper"
+            )
+            start = clock.now()
+            task.schedule_at(start + 0.05)
+            task.schedule_at(start + 0.15)
+            assert runs.wait_for_count(2, timeout=5)
+            first, second = runs.snapshot()
+            assert first >= start + 0.05
+            assert second >= start + 0.15
+        finally:
+            reactor.stop()
+
     def test_immediate_requeue_when_returned_time_already_passed(self):
         """Returning a time at or before "now" means run again at once."""
-        reactor = Reactor(max_workers=2, name="spin")
+        reactor = Reactor(max_workers=2, name="spin", mode=self.mode)
         try:
             runs = []
 
@@ -166,7 +209,7 @@ class TestReactor:
 
     def test_many_tasks_complete_on_tiny_pool(self):
         """The bound limits parallelism, never completion."""
-        reactor = Reactor(max_workers=2, name="tiny")
+        reactor = Reactor(max_workers=2, name="tiny", mode=self.mode)
         try:
             done = EventLog()
             for index in range(40):
@@ -174,12 +217,12 @@ class TestReactor:
                     lambda i=index: done.append(i) or None, name=f"t{index}"
                 ).wake()
             assert done.wait_for_count(40, timeout=10)
-            assert reactor.thread_count <= 3  # 2 workers + timer
+            assert reactor.thread_count <= thread_bound(reactor, 40)
         finally:
             reactor.stop()
 
     def test_step_exception_does_not_kill_the_pool(self):
-        reactor = Reactor(max_workers=2, name="faulty")
+        reactor = Reactor(max_workers=2, name="faulty", mode=self.mode)
         try:
             done = EventLog()
 
@@ -192,14 +235,72 @@ class TestReactor:
         finally:
             reactor.stop()
 
+    def test_crashed_step_is_counted_logged_and_stays_wakeable(self, caplog):
+        reactor = Reactor(max_workers=2, name="crashy", mode=self.mode)
+        try:
+            runs = []
+
+            def step():
+                runs.append(1)
+                if len(runs) == 1:
+                    raise RuntimeError("boom")
+                return None
+
+            task = reactor.register(step, name="crashing-task")
+            with caplog.at_level(logging.ERROR, logger="repro.core.scheduler"):
+                task.wake()
+                assert wait_until(lambda: reactor.crashed_steps == 1, timeout=5)
+            assert any(
+                "crashing-task" in record.getMessage() and record.exc_info
+                for record in caplog.records
+            )
+            task.wake()  # the crash did not deregister the task
+            assert wait_until(lambda: len(runs) == 2, timeout=5)
+            assert reactor.crashed_steps == 1
+            assert reactor.steps_executed == 2
+        finally:
+            reactor.stop()
+
+    def test_cancel_drops_later_wakes_and_deadlines(self):
+        clock = SystemClock()
+        reactor = Reactor(clock=clock, max_workers=2, name="cancelled", mode=self.mode)
+        try:
+            runs = []
+            task = reactor.register(lambda: runs.append(1) or None, name="gone")
+            task.wake()
+            assert wait_until(lambda: len(runs) == 1, timeout=5)
+            task.schedule_at(clock.now() + 0.02)
+            task.cancel()
+            task.wake()
+            time.sleep(0.05)
+            assert runs == [1]
+            if self.mode == "dedicated":
+                assert not task.thread.is_alive()  # ended and joined
+                assert reactor.thread_count == 0
+        finally:
+            reactor.stop()
+
     def test_wake_after_stop_is_a_noop(self):
-        reactor = Reactor(max_workers=2, name="stopped")
+        reactor = Reactor(max_workers=2, name="stopped", mode=self.mode)
         runs = []
         task = reactor.register(lambda: runs.append(1) or None, name="late")
         reactor.stop()
         task.wake()
         time.sleep(0.02)
         assert runs == []
+
+
+class TestAsyncioReactor(TestReactor):
+    mode = "asyncio"
+    # One loop thread runs every step by design, so two steps can never
+    # meet at a barrier there.
+    test_distinct_tasks_run_concurrently = None
+    test_default_worker_count_is_bounded = None  # backend-independent
+
+
+class TestDedicatedReactor(TestReactor):
+    mode = "dedicated"
+    test_default_worker_count_is_bounded = None  # backend-independent
 
 
 class TestPortReadyQueue:

@@ -32,26 +32,34 @@ class TestManyReferences:
     def test_teardown_joins_every_loop_thread(self, scenario, phone, activity):
         """stop_all() retires every logical loop without leaking OS threads.
 
-        Reactor references never own a thread (their loops are tasks on the
-        device's shared pool); legacy ``threaded=True`` references must have
-        their private thread joined.
+        References on the default reactor never own a thread (their loops
+        are tasks on the device's shared pool); references on a
+        ``reactor_mode="dedicated"`` device must have their own thread
+        joined.
         """
         tags = make_tags(15)
         references = [make_reference(activity, tag, phone) for tag in tags]
-        threaded_tags = make_tags(3)
-        threaded_refs = [
-            make_reference(activity, tag, phone, threaded=True)
-            for tag in threaded_tags
+        dedicated_phone = scenario.add_phone("dedicated", reactor_mode="dedicated")
+        dedicated_activity = scenario.start(dedicated_phone, PlainNfcActivity)
+        dedicated_tags = make_tags(3)
+        dedicated_refs = [
+            make_reference(dedicated_activity, tag, dedicated_phone)
+            for tag in dedicated_tags
         ]
         threads_before = threading.active_count()
         activity.reference_factory.stop_all()
+        dedicated_activity.reference_factory.stop_all()
         assert all(reference.is_stopped for reference in references)
-        assert all(reference._thread is None for reference in references)
-        assert all(reference.is_stopped for reference in threaded_refs)
+        live_names = {thread.name for thread in threading.enumerate()}
         assert all(
-            not reference._thread.is_alive() for reference in threaded_refs
+            f"tagref-{reference.uid_hex}" not in live_names
+            for reference in references
         )
-        assert threading.active_count() <= threads_before
+        assert all(reference.is_stopped for reference in dedicated_refs)
+        assert all(
+            not reference._task.thread.is_alive() for reference in dedicated_refs
+        )
+        assert threading.active_count() <= threads_before - len(dedicated_refs)
 
     def test_churn_with_lossy_link(self, scenario, phone, activity):
         """Tags cycling through a lossy field; queued work still drains."""

@@ -184,16 +184,6 @@ class TestOptOut:
         # Standalone path: one connect per operation.
         assert phone.port.connects - connects_before == 2
 
-    def test_threaded_reference_never_batches(
-        self, scenario, phone, activity, tag
-    ):
-        ref = make_reference(activity, tag, phone, threaded=True)
-        assert phone.tx_scheduler.references_for(tag) == []
-        done = EventLog()
-        ref.write("threaded", on_written=lambda _r: done.append(1))
-        scenario.put(tag, phone)
-        assert done.wait_for_count(1)
-
 
 class TestLifecycle:
     def test_stop_unregisters_from_the_scheduler(
